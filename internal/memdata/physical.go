@@ -2,26 +2,34 @@ package memdata
 
 import "fmt"
 
-// Physical is the machine's flat byte-addressable backing store. All DRAM
-// reads and writes ultimately land here, so data read back through the full
+// Physical is the machine's byte-addressable backing store. All DRAM reads
+// and writes ultimately land here, so data read back through the full
 // cache + controller + CTT stack can be compared against what software
 // wrote — the basis of the observational-equivalence tests.
+//
+// The store is lazily paged: a 4 KB page is allocated on its first write,
+// and an untouched page reads as zeros without being allocated. Host memory
+// therefore scales with the pages a run touches, not with the machine's
+// modelled capacity.
 type Physical struct {
-	data []byte
+	size  uint64
+	pages []*[PageSize]byte
 }
 
-// NewPhysical allocates a backing store of the given size in bytes.
+// NewPhysical returns a zero-filled backing store of the given size in
+// bytes. Only the page table is allocated up front.
 func NewPhysical(size uint64) *Physical {
-	return &Physical{data: make([]byte, size)}
+	return &Physical{size: size, pages: make([]*[PageSize]byte, (size+PageSize-1)/PageSize)}
 }
 
 // Size returns the store's capacity in bytes.
-func (p *Physical) Size() uint64 { return uint64(len(p.data)) }
+func (p *Physical) Size() uint64 { return p.size }
 
 func (p *Physical) check(a Addr, n uint64) {
-	if uint64(a)+n > uint64(len(p.data)) {
+	// Written so that neither side can wrap for addresses near 2^64.
+	if n > p.size || uint64(a) > p.size-n {
 		panic(fmt.Sprintf("memdata: access [%#x,%#x) outside physical memory of %d bytes",
-			a, uint64(a)+n, len(p.data)))
+			a, uint64(a)+n, p.size))
 	}
 }
 
@@ -29,20 +37,32 @@ func (p *Physical) check(a Addr, n uint64) {
 func (p *Physical) Read(a Addr, n uint64) []byte {
 	p.check(a, n)
 	out := make([]byte, n)
-	copy(out, p.data[a:uint64(a)+n])
+	for done := uint64(0); done < n; {
+		off := PageOffset(a)
+		m := min(n-done, PageSize-off)
+		if page := p.pages[a>>PageShift]; page != nil {
+			copy(out[done:done+m], page[off:])
+		}
+		done += m
+		a += Addr(m)
+	}
 	return out
 }
 
-// ReadInto copies len(dst) bytes starting at a into dst.
-func (p *Physical) ReadInto(a Addr, dst []byte) {
-	p.check(a, uint64(len(dst)))
-	copy(dst, p.data[a:])
-}
-
-// Write copies src into the store starting at a.
+// Write copies src into the store starting at a, allocating every page it
+// touches for the first time.
 func (p *Physical) Write(a Addr, src []byte) {
 	p.check(a, uint64(len(src)))
-	copy(p.data[a:], src)
+	for len(src) > 0 {
+		page := p.pages[a>>PageShift]
+		if page == nil {
+			page = new([PageSize]byte)
+			p.pages[a>>PageShift] = page
+		}
+		m := copy(page[PageOffset(a):], src)
+		src = src[m:]
+		a += Addr(m)
+	}
 }
 
 // ReadLine copies the 64-byte cacheline containing a into a fresh slice.
@@ -66,17 +86,9 @@ func (p *Physical) WriteLine(a Addr, line []byte) {
 	p.Write(a, line)
 }
 
-// Zero clears n bytes starting at a.
-func (p *Physical) Zero(a Addr, n uint64) {
-	p.check(a, n)
-	clear(p.data[a : uint64(a)+n])
-}
-
 // Copy performs an immediate (non-simulated) copy of n bytes from src to
-// dst within the store. Used by test oracles and OS bootstrap, never by the
-// timed simulation path.
+// dst within the store, with memmove semantics for overlapping ranges. Used
+// by test oracles, never by the timed simulation path.
 func (p *Physical) Copy(dst, src Addr, n uint64) {
-	p.check(src, n)
-	p.check(dst, n)
-	copy(p.data[dst:uint64(dst)+n], p.data[src:uint64(src)+n])
+	p.Write(dst, p.Read(src, n))
 }
