@@ -7,6 +7,10 @@
 //	mcbench -only 'engine/'     # filter by regexp
 //	mcbench -micro / -workloads # run only one half
 //	mcbench -baseline old.json  # print deltas against a recorded run
+//
+// Every report records a fixed host-speed probe (host_probe_s); -baseline
+// prints both reports' probes and labels the ns/op deltas "host drift?"
+// when the probes differ by more than 10 %.
 package main
 
 import (
@@ -43,6 +47,8 @@ func main() {
 		filter = re
 	}
 
+	probe := bench.HostProbe()
+	fmt.Printf("# host probe %.3f s\n", probe)
 	var results []bench.Result
 	if !*wlOnly {
 		fmt.Println("# engine microbenchmarks")
@@ -58,6 +64,7 @@ func main() {
 	}
 
 	report := bench.NewReport(*quick, results)
+	report.HostProbeS = probe
 	if *out != "" {
 		if err := bench.WriteJSON(*out, report); err != nil {
 			fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
@@ -72,34 +79,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mcbench: read baseline: %v\n", err)
 			os.Exit(1)
 		}
-		printDeltas(base, report)
+		bench.WriteDeltas(os.Stdout, base, report)
 	}
-}
-
-// printDeltas reports per-benchmark changes versus a recorded baseline.
-func printDeltas(base, cur *bench.Report) {
-	byName := map[string]bench.Result{}
-	for _, r := range base.Results {
-		byName[r.Name] = r
-	}
-	fmt.Printf("# vs baseline (%s/%s, %s)\n", base.GOOS, base.GOARCH, base.GoVersion)
-	for _, r := range cur.Results {
-		b, ok := byName[r.Name]
-		if !ok {
-			fmt.Printf("%-28s (new)\n", r.Name)
-			continue
-		}
-		fmt.Printf("%-28s ns/op %+7.1f%%  allocs/op %+7.1f%%\n",
-			r.Name, pct(r.NsPerOp, b.NsPerOp), pct(r.AllocsPerOp, b.AllocsPerOp))
-	}
-}
-
-func pct(cur, base float64) float64 {
-	if base == 0 {
-		if cur == 0 {
-			return 0
-		}
-		return 100
-	}
-	return 100 * (cur - base) / base
 }

@@ -11,7 +11,8 @@
 // results/BENCH_sim_pre.json pins the numbers recorded before the event-
 // core overhaul, and CI runs a quick sweep on every push. Host-absolute
 // numbers vary by machine; the allocs/op columns and the relative deltas
-// between runs on one machine are the signal.
+// between runs on one machine are the signal, and each report's host probe
+// says when a delta may be the host's.
 package bench
 
 import (
@@ -24,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"mcsquare/internal/core"
 	"mcsquare/internal/figures"
 	"mcsquare/internal/invariant"
 	"mcsquare/internal/memdata"
@@ -53,13 +55,16 @@ type Result struct {
 
 // Report is the BENCH_sim.json document.
 type Report struct {
-	Schema    int      `json:"schema"`
-	GoVersion string   `json:"go_version"`
-	GOOS      string   `json:"goos"`
-	GOARCH    string   `json:"goarch"`
-	NumCPU    int      `json:"num_cpu"`
-	Quick     bool     `json:"quick"`
-	Results   []Result `json:"results"`
+	Schema    int    `json:"schema"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	NumCPU    int    `json:"num_cpu"`
+	Quick     bool   `json:"quick"`
+	// HostProbeS is the wall time of HostProbe on the recording host; two
+	// reports' ns/op compare only when their probes roughly agree.
+	HostProbeS float64  `json:"host_probe_s,omitempty"`
+	Results    []Result `json:"results"`
 }
 
 // WriteJSON writes the report, indented, to path.
@@ -82,6 +87,78 @@ func ReadJSON(path string) (*Report, error) {
 		return nil, err
 	}
 	return &r, nil
+}
+
+// probeSink keeps the probe's result live so its loop is not removed.
+var probeSink uint64
+
+// HostProbe times a fixed CPU loop plus memsets of a 64 MB buffer (the
+// same probe simbench records), 0.37–0.57 s on a shared 2-CPU, 8 GB box. A
+// slower host shows as a slower probe, so the ratio of two reports' probes
+// says whether their ns/op differences can be the host's.
+func HostProbe() float64 {
+	t0 := time.Now()
+	buf := make([]byte, 64<<20)
+	x := uint64(0x9e3779b97f4a7c15)
+	for round := 0; round < 4; round++ {
+		for i := range buf {
+			buf[i] = byte(round)
+		}
+		for i := 0; i < 10_000_000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		x += uint64(buf[len(buf)/2])
+	}
+	probeSink = x
+	return time.Since(t0).Seconds()
+}
+
+// driftLimit is how far apart two host probes may be before ns/op deltas
+// between their reports are labelled as possible host drift.
+const driftLimit = 0.10
+
+// WriteDeltas reports per-benchmark changes of cur versus a recorded
+// baseline to w. It prints both reports' host probes and their ratio; when
+// the probes differ by more than driftLimit (or either is missing) the
+// ns/op deltas are labelled "host drift?". Nothing is gated on the deltas.
+func WriteDeltas(w io.Writer, base, cur *Report) {
+	byName := map[string]Result{}
+	for _, r := range base.Results {
+		byName[r.Name] = r
+	}
+	fmt.Fprintf(w, "# vs baseline (%s/%s, %s, %d CPU)\n", base.GOOS, base.GOARCH, base.GoVersion, base.NumCPU)
+	drift := ""
+	if base.HostProbeS > 0 && cur.HostProbeS > 0 {
+		ratio := cur.HostProbeS / base.HostProbeS
+		fmt.Fprintf(w, "# host probe: baseline %.3f s, this run %.3f s, ratio %.2f\n", base.HostProbeS, cur.HostProbeS, ratio)
+		if ratio > 1+driftLimit || ratio < 1-driftLimit {
+			drift = "  host drift?"
+		}
+	} else {
+		fmt.Fprintln(w, "# host probe missing from a report: ns/op deltas may be host drift")
+		drift = "  host drift?"
+	}
+	for _, r := range cur.Results {
+		b, ok := byName[r.Name]
+		if !ok {
+			fmt.Fprintf(w, "%-28s (new)\n", r.Name)
+			continue
+		}
+		fmt.Fprintf(w, "%-28s ns/op %+7.1f%%  allocs/op %+7.1f%%%s\n",
+			r.Name, pct(r.NsPerOp, b.NsPerOp), pct(r.AllocsPerOp, b.AllocsPerOp), drift)
+	}
+}
+
+func pct(cur, base float64) float64 {
+	if base == 0 {
+		if cur == 0 {
+			return 0
+		}
+		return 100
+	}
+	return 100 * (cur - base) / base
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +429,62 @@ func benchTimelineOn(b *testing.B) {
 	timelineChain(b, e, cells)
 }
 
+// cttCapacity is the paper's CTT size (§III-A1).
+const cttCapacity = 2048
+
+// cttTable returns a paper-sized CTT filled to pct percent with 4 KB
+// entries on every other 4 KB page (sources scattered so nothing merges),
+// and the end of the destination span the entries cover.
+func cttTable(pct int) (*core.CTT, memdata.Addr) {
+	c := core.NewCTT(cttCapacity)
+	n := cttCapacity * pct / 100
+	for i := 0; i < n; i++ {
+		c.Insert(memdata.Range{Start: memdata.Addr(i) * 8192, Size: 4096}, memdata.Addr(0x40000000+i*12288))
+	}
+	return c, memdata.Addr(n) * 8192
+}
+
+// cttCover and cttHit keep the CTT query results live so the benchmark
+// loops are not optimized away.
+var (
+	cttCover []*core.Entry
+	cttHit   *core.Entry
+)
+
+// benchCTTLookup measures the probe the Engine makes on every controller
+// access at pct percent occupancy: a one-line DestCover plus a LookupDest.
+// One op = both queries for one line; the lines walk the table's span in
+// 4160 B (65-line) steps, so hits and misses alternate.
+func benchCTTLookup(pct int) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		c, span := cttTable(pct)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a := memdata.Addr(i) * 4160 % span
+			cttCover = c.DestCover(memdata.Range{Start: a, Size: memdata.LineSize})
+			cttHit = c.LookupDest(a)
+		}
+	}
+}
+
+// benchCTTInsertTrim measures an MCLAZY that overwrites a tracked
+// destination in a 90 %-full table: the insert trims the old entry away and
+// registers its replacement, so occupancy holds steady. One op = one
+// Insert, on entries scattered over the table.
+func benchCTTInsertTrim(b *testing.B) {
+	b.ReportAllocs()
+	c, span := cttTable(90)
+	n := int(span / 8192)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i * 7919 % n
+		if !c.Insert(memdata.Range{Start: memdata.Addr(k) * 8192, Size: 4096}, memdata.Addr(0x80000000+i%4096*4096)) {
+			b.Fatal("ctt/insert-trim: replacement insert refused")
+		}
+	}
+}
+
 type microBench struct {
 	name string
 	fn   func(b *testing.B)
@@ -369,6 +502,9 @@ var microBenches = []microBench{
 	{"invariants/on", benchInvariantsOn},
 	{"timeline/off", benchTimelineOff},
 	{"timeline/on-32cyc", benchTimelineOn},
+	{"ctt/lookup-50pct", benchCTTLookup(50)},
+	{"ctt/lookup-90pct", benchCTTLookup(90)},
+	{"ctt/insert-trim", benchCTTInsertTrim},
 }
 
 // EngineMicro runs the engine microbenchmark suite, filtered by the

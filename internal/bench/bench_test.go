@@ -3,6 +3,7 @@ package bench
 import (
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"mcsquare/internal/sim"
@@ -32,6 +33,39 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if got.GoVersion == "" || got.NumCPU == 0 || !got.Quick {
 		t.Fatal("report metadata missing after round trip")
+	}
+}
+
+// TestWriteDeltasHostDrift pins how -baseline reads host probes: deltas
+// between reports whose probes agree within 10 % are printed plainly, and
+// otherwise (or when a probe is missing) carry the "host drift?" label.
+func TestWriteDeltasHostDrift(t *testing.T) {
+	base := NewReport(true, []Result{{Name: "ctt/lookup-90pct", NsPerOp: 100, AllocsPerOp: 1}})
+	for _, tc := range []struct {
+		baseProbe, curProbe float64
+		drift               bool
+	}{
+		{0.40, 0.42, false},
+		{0.40, 0.37, false},
+		{0.40, 0.50, true},
+		{0.40, 0.30, true},
+		{0, 0.40, true},
+	} {
+		base.HostProbeS = tc.baseProbe
+		cur := NewReport(true, []Result{
+			{Name: "ctt/lookup-90pct", NsPerOp: 150, AllocsPerOp: 1},
+			{Name: "ctt/insert-trim", NsPerOp: 10},
+		})
+		cur.HostProbeS = tc.curProbe
+		var sb strings.Builder
+		WriteDeltas(&sb, base, cur)
+		out := sb.String()
+		if !strings.Contains(out, "ns/op   +50.0%  allocs/op    +0.0%") || !strings.Contains(out, "ctt/insert-trim              (new)") {
+			t.Fatalf("probes %v/%v: deltas missing:\n%s", tc.baseProbe, tc.curProbe, out)
+		}
+		if got := strings.Contains(out, "host drift?"); got != tc.drift {
+			t.Errorf("probes %v/%v: host drift label = %v, want %v:\n%s", tc.baseProbe, tc.curProbe, got, tc.drift, out)
+		}
 	}
 }
 

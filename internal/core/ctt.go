@@ -16,7 +16,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcsquare/internal/memdata"
@@ -26,8 +28,8 @@ import (
 // paper's 21-bit size field, i.e. one 2 MB huge page.
 const MaxEntrySize = 2 << 20
 
-// segShift buckets addresses into 2 MB segments for indexed lookups. Since
-// no entry exceeds MaxEntrySize, an entry's destination or source range
+// segShift buckets source addresses into 2 MB segments for indexed
+// lookups. Since no entry exceeds MaxEntrySize, an entry's source range
 // spans at most two segments, and a query range of up to MaxEntrySize spans
 // at most two as well.
 const segShift = 21
@@ -91,13 +93,16 @@ type CTT struct {
 	// copies then occupy one entry each instead of coalescing.
 	noMerge bool
 	nextID  uint64
-	entries map[uint64]*Entry
-	order   []uint64 // insertion order of live entry IDs (lazily compacted)
-	dstSeg  map[uint64][]*Entry
-	srcSeg  map[uint64][]*Entry
+	// byDst holds the live entries sorted by destination start. Live
+	// destination ranges are pairwise disjoint, so their ends are sorted
+	// too, and one binary search finds every entry overlapping a range.
+	byDst []*Entry
+	// srcSeg buckets entries by the 2 MB segments their source range
+	// touches; source ranges may overlap, so they have no such order.
+	srcSeg map[uint64][]*Entry
 	// trackedBytes is the summed destination size of live entries,
 	// maintained incrementally by register/remove/mutate and cross-checked
-	// against the entry map by CheckInvariants.
+	// against the entries by CheckInvariants.
 	trackedBytes uint64
 
 	Stats CTTStats
@@ -114,14 +119,12 @@ func newCTT(capacity int, noMerge bool) *CTT {
 	return &CTT{
 		capacity: capacity,
 		noMerge:  noMerge,
-		entries:  make(map[uint64]*Entry),
-		dstSeg:   make(map[uint64][]*Entry),
 		srcSeg:   make(map[uint64][]*Entry),
 	}
 }
 
 // Len returns the number of live entries.
-func (t *CTT) Len() int { return len(t.entries) }
+func (t *CTT) Len() int { return len(t.byDst) }
 
 // Capacity returns the entry capacity.
 func (t *CTT) Capacity() int { return t.capacity }
@@ -133,89 +136,85 @@ func segsOf(r memdata.Range) (lo, hi uint64) {
 	return uint64(r.Start) >> segShift, uint64(r.End()-1) >> segShift
 }
 
+// firstEndAfter returns the index in byDst of the first entry whose
+// destination ends after a: the only candidate to contain a, and the first
+// entry that can overlap a range starting at a.
+func (t *CTT) firstEndAfter(a memdata.Addr) int {
+	return sort.Search(len(t.byDst), func(i int) bool { return t.byDst[i].Dst.End() > a })
+}
+
 func (t *CTT) register(e *Entry) {
-	t.entries[e.ID] = e
-	t.order = append(t.order, e.ID)
-	t.indexAdd(e)
+	t.byDst = slices.Insert(t.byDst, t.firstEndAfter(e.Dst.Start), e)
+	t.srcAdd(e)
 	t.trackedBytes += e.Dst.Size
-	if len(t.entries) > t.Stats.HighWater {
-		t.Stats.HighWater = len(t.entries)
+	if len(t.byDst) > t.Stats.HighWater {
+		t.Stats.HighWater = len(t.byDst)
 	}
 }
 
-func (t *CTT) indexAdd(e *Entry) {
-	lo, hi := segsOf(e.Dst)
-	for s := lo; s <= hi; s++ {
-		t.dstSeg[s] = append(t.dstSeg[s], e)
-	}
-	lo, hi = segsOf(e.SrcRange())
+func (t *CTT) srcAdd(e *Entry) {
+	lo, hi := segsOf(e.SrcRange())
 	for s := lo; s <= hi; s++ {
 		t.srcSeg[s] = append(t.srcSeg[s], e)
 	}
 }
 
-func (t *CTT) indexRemove(e *Entry) {
-	rm := func(m map[uint64][]*Entry, r memdata.Range) {
-		lo, hi := segsOf(r)
-		for s := lo; s <= hi; s++ {
-			list := m[s]
-			for i, x := range list {
-				if x == e {
-					m[s] = append(list[:i], list[i+1:]...)
-					break
-				}
-			}
-			if len(m[s]) == 0 {
-				delete(m, s)
+func (t *CTT) srcRemove(e *Entry) {
+	lo, hi := segsOf(e.SrcRange())
+	for s := lo; s <= hi; s++ {
+		list := t.srcSeg[s]
+		for i, x := range list {
+			if x == e {
+				t.srcSeg[s] = append(list[:i], list[i+1:]...)
+				break
 			}
 		}
+		if len(t.srcSeg[s]) == 0 {
+			delete(t.srcSeg, s)
+		}
 	}
-	rm(t.dstSeg, e.Dst)
-	rm(t.srcSeg, e.SrcRange())
 }
 
 func (t *CTT) remove(e *Entry) {
-	t.indexRemove(e)
-	delete(t.entries, e.ID)
+	i := t.firstEndAfter(e.Dst.Start) // e itself: entries before it end by its start
+	t.byDst = slices.Delete(t.byDst, i, i+1)
+	t.srcRemove(e)
 	t.trackedBytes -= e.Dst.Size
 	t.Stats.Removed++
 }
 
-// mutate applies a destination-range change to an entry: its index entries
-// are refreshed and its new geometry installed.
+// mutate applies a destination-range change to an entry: its source index
+// entries are refreshed and its new geometry installed. The entry keeps its
+// byDst slot: a trim shrinks a range in place, and a merge grows it only
+// into untracked bytes next to it, so disjoint ranges never reorder.
 func (t *CTT) mutate(e *Entry, dst memdata.Range, src memdata.Addr) {
-	t.indexRemove(e)
+	t.srcRemove(e)
 	t.trackedBytes += dst.Size - e.Dst.Size // unsigned wrap cancels out
 	e.Dst = dst
 	e.Src = src
-	t.indexAdd(e)
+	t.srcAdd(e)
 }
 
 // DestCover returns the live entries whose destination range overlaps r,
 // sorted by destination start. Destination ranges are disjoint, so the
-// result segments r without overlap.
+// result segments r without overlap. The result is a fresh slice (nil when
+// nothing overlaps), so callers may change the table while ranging over it.
 func (t *CTT) DestCover(r memdata.Range) []*Entry {
-	var out []*Entry
-	lo, hi := segsOf(r)
-	seen := map[uint64]bool{}
-	for s := lo; s <= hi; s++ {
-		for _, e := range t.dstSeg[s] {
-			if !seen[e.ID] && e.Dst.Overlaps(r) {
-				seen[e.ID] = true
-				out = append(out, e)
-			}
-		}
+	if r.Empty() {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dst.Start < out[j].Dst.Start })
-	return out
+	i := t.firstEndAfter(r.Start)
+	j := i
+	for j < len(t.byDst) && t.byDst[j].Dst.Start < r.End() {
+		j++
+	}
+	return append([]*Entry(nil), t.byDst[i:j]...)
 }
 
 // LookupDest returns the entry whose destination contains a, or nil.
 func (t *CTT) LookupDest(a memdata.Addr) *Entry {
-	for _, e := range t.dstSeg[uint64(a)>>segShift] {
-		if e.Dst.Contains(a) {
-			return e
-		}
+	if i := t.firstEndAfter(a); i < len(t.byDst) && t.byDst[i].Dst.Start <= a {
+		return t.byDst[i]
 	}
 	return nil
 }
@@ -225,17 +224,18 @@ func (t *CTT) LookupDest(a memdata.Addr) *Entry {
 // many destinations).
 func (t *CTT) SrcOverlapping(r memdata.Range) []*Entry {
 	lo, hi := segsOf(r)
-	seen := map[uint64]bool{}
 	var out []*Entry
 	for s := lo; s <= hi; s++ {
 		for _, e := range t.srcSeg[s] {
-			if !seen[e.ID] && e.SrcRange().Overlaps(r) {
-				seen[e.ID] = true
+			// An entry spanning two queried segments is collected only in
+			// the first of them.
+			sr := e.SrcRange()
+			if max(lo, uint64(sr.Start)>>segShift) == s && sr.Overlaps(r) {
 				out = append(out, e)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -431,18 +431,11 @@ func (t *CTT) PreviewSources(dst memdata.Range, src memdata.Addr) []memdata.Rang
 	return out
 }
 
-// Entries returns the live entries in insertion order (compacting the
-// order list as a side effect).
+// Entries returns the live entries in insertion order, which is ID order
+// since IDs only grow.
 func (t *CTT) Entries() []*Entry {
-	out := make([]*Entry, 0, len(t.entries))
-	live := t.order[:0]
-	for _, id := range t.order {
-		if e, ok := t.entries[id]; ok {
-			live = append(live, id)
-			out = append(out, e)
-		}
-	}
-	t.order = live
+	out := slices.Clone(t.byDst)
+	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -451,7 +444,7 @@ func (t *CTT) Entries() []*Entry {
 // freeing policy evicts smallest-first (§III-A1).
 func (t *CTT) Smallest() *Entry {
 	var best *Entry
-	for _, e := range t.Entries() {
+	for _, e := range t.byDst {
 		if best == nil || e.Dst.Size < best.Dst.Size ||
 			(e.Dst.Size == best.Dst.Size && e.ID < best.ID) {
 			best = e
@@ -463,11 +456,11 @@ func (t *CTT) Smallest() *Entry {
 // CheckInvariants verifies structural invariants; tests call it after every
 // mutation. It returns an error describing the first violation found.
 func (t *CTT) CheckInvariants() error {
-	if len(t.entries) > t.capacity {
-		return fmt.Errorf("ctt: %d entries exceed capacity %d", len(t.entries), t.capacity)
+	if len(t.byDst) > t.capacity {
+		return fmt.Errorf("ctt: %d entries exceed capacity %d", len(t.byDst), t.capacity)
 	}
 	var liveBytes uint64
-	for _, e := range t.entries {
+	for _, e := range t.byDst {
 		liveBytes += e.Dst.Size
 	}
 	if liveBytes != t.trackedBytes {
@@ -477,17 +470,22 @@ func (t *CTT) CheckInvariants() error {
 		return fmt.Errorf("ctt: byte conservation violated: deferred %d - untracked %d != tracked %d",
 			t.Stats.DeferredBytes, t.Stats.UntrackedBytes, t.trackedBytes)
 	}
-	ents := t.Entries()
-	for i, e := range ents {
+	for i, e := range t.byDst {
 		if e.Dst.Empty() {
 			return fmt.Errorf("ctt: entry %d has empty destination", e.ID)
 		}
 		if e.Dst.Size > MaxEntrySize {
 			return fmt.Errorf("ctt: entry %d size %d exceeds 2 MB", e.ID, e.Dst.Size)
 		}
-		for _, o := range ents[i+1:] {
-			if e.Dst.Overlaps(o.Dst) {
-				return fmt.Errorf("ctt: destination overlap between entries %d and %d", e.ID, o.ID)
+		// Adjacent entries in start order: sorted and disjoint together
+		// imply every pair is disjoint.
+		if i > 0 {
+			prev := t.byDst[i-1]
+			if prev.Dst.Start >= e.Dst.Start {
+				return fmt.Errorf("ctt: dest index out of order at entries %d and %d", prev.ID, e.ID)
+			}
+			if prev.Dst.End() > e.Dst.Start {
+				return fmt.Errorf("ctt: destination overlap between entries %d and %d", prev.ID, e.ID)
 			}
 		}
 		// Index consistency.

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"mcsquare/internal/memdata"
 )
@@ -427,6 +432,276 @@ func TestPreviewSourcesMatchesInsertQuick(t *testing.T) {
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the indexed queries.
+//
+// Every query the CTT answers from its indexes (DestCover, LookupDest,
+// SrcOverlapping, HasSrcOverlap, Smallest) is recomputed by a brute-force
+// scan over Entries() after each step of a testing/quick-generated program
+// of Inserts and RemoveDestRanges. Addresses cluster around a 2 MB segment
+// boundary, so entries and queries straddle segments.
+// ---------------------------------------------------------------------------
+
+// cttStep is one operation; its fields are interpreted against the table
+// as it stands when the step runs.
+type cttStep struct {
+	Kind       uint8  // selects the operation, see run
+	Pick       uint16 // chooses an existing entry or a dst line in the window
+	Len        uint8  // size in lines
+	SrcOff     uint32 // source offset within the window (byte-granular)
+	BigOffline uint16 // for MaxEntrySize inserts: lines before the boundary
+}
+
+// cttProgram is a quick-generated sequence of steps.
+type cttProgram []cttStep
+
+const (
+	diffBoundary = 2 * MaxEntrySize // a 2 MB segment boundary (4 MB)
+	diffWindow   = 64 << 10         // dst lines fall in boundary ± window
+	diffCapacity = 24               // small, so inserts are refused
+)
+
+func (cttProgram) Generate(r *rand.Rand, size int) reflect.Value {
+	p := make(cttProgram, 20+r.Intn(40))
+	for i := range p {
+		p[i] = cttStep{
+			Kind:       uint8(r.Intn(8)),
+			Pick:       uint16(r.Intn(1 << 16)),
+			Len:        uint8(1 + r.Intn(24)),
+			SrcOff:     uint32(r.Intn(2 * diffWindow)),
+			BigOffline: uint16(1 + r.Intn(MaxEntrySize/line)),
+		}
+	}
+	return reflect.ValueOf(p)
+}
+
+// diffCoverage counts the cases the program set must reach at least once.
+type diffCoverage struct {
+	straddles, maxSize, mergesBefore, mergesAfter, splits, refusals int
+}
+
+// run applies one step to c. It fails only if a refused Insert changed the
+// table.
+func (s cttStep) run(c *CTT, cov *diffCoverage) error {
+	lo := memdata.Addr(diffBoundary - diffWindow)
+	size := uint64(s.Len) * line
+	dstLine := lo + memdata.Addr(uint64(s.Pick)%(2*diffWindow/line))*line
+	src := lo + memdata.Addr(s.SrcOff)
+	ents := c.Entries()
+	var pick *Entry
+	if len(ents) > 0 {
+		pick = ents[int(s.Pick)%len(ents)]
+	}
+	insert := func(dst memdata.Range, src memdata.Addr) error {
+		before := snapshotCTT(c)
+		if c.Insert(dst, src) {
+			return nil
+		}
+		cov.refusals++
+		if !reflect.DeepEqual(before, snapshotCTT(c)) {
+			return fmt.Errorf("refused Insert(%+v <- %#x) changed the table", dst, src)
+		}
+		return nil
+	}
+	switch s.Kind {
+	case 0, 1: // random insert, possibly chaining through existing entries
+		dst := memdata.Range{Start: dstLine, Size: size}
+		if dst.Start < diffBoundary && dst.End() > diffBoundary {
+			cov.straddles++
+		}
+		return insert(dst, src)
+	case 2: // an entry of exactly MaxEntrySize across the boundary
+		start := memdata.Addr(diffBoundary) - memdata.Addr(s.BigOffline)*line
+		cov.maxSize++
+		return insert(memdata.Range{Start: start, Size: MaxEntrySize}, src+MaxEntrySize)
+	case 3: // contiguous copy after an entry: merges into it
+		if pick == nil || !memdata.IsLineAligned(pick.Dst.End()) {
+			return nil // collapse pieces can end mid-line
+		}
+		m := c.Stats.Merges
+		err := insert(memdata.Range{Start: pick.Dst.End(), Size: size}, pick.SrcRange().End())
+		if c.Stats.Merges > m {
+			cov.mergesAfter++
+		}
+		return err
+	case 4: // contiguous copy before an entry: merges into it
+		if pick == nil || !memdata.IsLineAligned(pick.Dst.Start) || uint64(pick.Src) < size {
+			return nil
+		}
+		m := c.Stats.Merges
+		err := insert(memdata.Range{Start: pick.Dst.Start - memdata.Addr(size), Size: size}, pick.Src-memdata.Addr(size))
+		if c.Stats.Merges > m {
+			cov.mergesBefore++
+		}
+		return err
+	case 5: // a write to the middle of an entry splits it
+		if pick == nil || pick.Dst.Size < 3*line || c.Len() == diffCapacity {
+			return nil // a split in a full table overflows it (not a refusal)
+		}
+		n := c.Len()
+		c.RemoveDestRange(memdata.Range{Start: pick.Dst.Start + line, Size: line})
+		if c.Len() == n+1 {
+			cov.splits++
+		}
+	default: // a write or MCFREE anywhere in the window
+		if c.Len() < diffCapacity { // may split, see case 5
+			c.RemoveDestRange(memdata.Range{Start: dstLine, Size: size})
+		}
+	}
+	return nil
+}
+
+// snapshotCTT captures the table's geometry by value.
+func snapshotCTT(c *CTT) []Entry {
+	var out []Entry
+	for _, e := range c.Entries() {
+		out = append(out, *e)
+	}
+	return out
+}
+
+// checkAgainstScan compares every indexed query on the probe set against a
+// linear scan over Entries().
+func checkAgainstScan(c *CTT, probes []memdata.Range) error {
+	ents := c.Entries()
+	for _, r := range probes {
+		var wantCover, wantSrc []*Entry
+		for _, e := range ents {
+			if e.Dst.Overlaps(r) {
+				wantCover = append(wantCover, e)
+			}
+			if e.SrcRange().Overlaps(r) {
+				wantSrc = append(wantSrc, e) // Entries is in ID order
+			}
+		}
+		sort.Slice(wantCover, func(i, j int) bool { return wantCover[i].Dst.Start < wantCover[j].Dst.Start })
+		if got := c.DestCover(r); !slices.Equal(got, wantCover) {
+			return fmt.Errorf("DestCover(%+v) = %v, scan %v", r, got, wantCover)
+		}
+		if got := c.SrcOverlapping(r); !slices.Equal(got, wantSrc) {
+			return fmt.Errorf("SrcOverlapping(%+v) = %v, scan %v", r, got, wantSrc)
+		}
+		if got := c.HasSrcOverlap(r); got != (len(wantSrc) > 0) {
+			return fmt.Errorf("HasSrcOverlap(%+v) = %v, scan found %d", r, got, len(wantSrc))
+		}
+		for _, a := range []memdata.Addr{r.Start, r.End() - 1, r.End()} {
+			var want *Entry
+			for _, e := range ents {
+				if e.Dst.Contains(a) {
+					want = e
+				}
+			}
+			if got := c.LookupDest(a); got != want {
+				return fmt.Errorf("LookupDest(%#x) = %v, scan %v", a, got, want)
+			}
+		}
+	}
+	var want *Entry
+	for _, e := range ents {
+		if want == nil || e.Dst.Size < want.Dst.Size || (e.Dst.Size == want.Dst.Size && e.ID < want.ID) {
+			want = e
+		}
+	}
+	if got := c.Smallest(); got != want {
+		return fmt.Errorf("Smallest = %v, scan %v", got, want)
+	}
+	return nil
+}
+
+// diffProbes returns the query ranges for the current table: fixed ranges
+// around the boundary (one line, two lines across it, a whole 2 MB range
+// across it) plus every entry's destination and source range and the lines
+// just outside its destination.
+func diffProbes(c *CTT, step cttStep) []memdata.Range {
+	b := memdata.Addr(diffBoundary)
+	probes := []memdata.Range{
+		{Start: b, Size: line},
+		{Start: b - line, Size: 2 * line},
+		{Start: b - MaxEntrySize/2, Size: MaxEntrySize},
+		{Start: b + memdata.Addr(step.SrcOff), Size: uint64(step.Len) * line},
+	}
+	for _, e := range c.Entries() {
+		probes = append(probes, e.Dst, e.SrcRange(),
+			memdata.Range{Start: e.Dst.Start - line, Size: line},
+			memdata.Range{Start: e.Dst.End(), Size: line})
+	}
+	return probes
+}
+
+func TestCTTIndexMatchesScanQuick(t *testing.T) {
+	var cov diffCoverage
+	prop := func(p cttProgram) bool {
+		c := NewCTT(diffCapacity)
+		for i, s := range p {
+			if err := s.run(c, &cov); err != nil {
+				t.Logf("step %d %+v: %v", i, s, err)
+				return false
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Logf("step %d %+v: %v", i, s, err)
+				return false
+			}
+			if err := checkAgainstScan(c, diffProbes(c, s)); err != nil {
+				t.Logf("step %d %+v: %v", i, s, err)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(14))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]int{
+		"boundary-straddling insert": cov.straddles,
+		"MaxEntrySize insert":        cov.maxSize,
+		"merge before":               cov.mergesBefore,
+		"merge after":                cov.mergesAfter,
+		"middle split":               cov.splits,
+		"refused insert":             cov.refusals,
+	} {
+		if n == 0 {
+			t.Errorf("no program reached a %s", name)
+		}
+	}
+	t.Logf("coverage %+v", cov)
+}
+
+// TestCTTQueriesAllocate pins the lookup path's allocations on a
+// paper-sized table 90 % full: LookupDest and Smallest allocate nothing,
+// and a one-line DestCover allocates only its result slice.
+func TestCTTQueriesAllocate(t *testing.T) {
+	const capacity = 2048
+	c := NewCTT(capacity)
+	n := capacity * 9 / 10
+	for i := 0; i < n; i++ {
+		// Every other 4 KB page, sources scattered so nothing merges.
+		dst := rng(uint64(i)*8192, 4096)
+		if !c.Insert(dst, memdata.Addr(0x40000000+uint64(i)*12288)) {
+			t.Fatalf("insert %d refused", i)
+		}
+	}
+	if c.Len() != n {
+		t.Fatalf("Len = %d, want %d", c.Len(), n)
+	}
+	hit := memdata.Addr(uint64(n/2)*8192 + 64)
+	miss := hit + 4096
+	for name, tc := range map[string]struct {
+		fn  func()
+		max float64
+	}{
+		"LookupDest hit":  {func() { c.LookupDest(hit) }, 0},
+		"LookupDest miss": {func() { c.LookupDest(miss) }, 0},
+		"Smallest":        {func() { c.Smallest() }, 0},
+		"DestCover hit":   {func() { c.DestCover(lineRange(hit)) }, 1},
+		"DestCover miss":  {func() { c.DestCover(lineRange(miss)) }, 0},
+	} {
+		if got := testing.AllocsPerRun(200, tc.fn); got > tc.max {
+			t.Errorf("%s allocates %.1f per call, want at most %.0f", name, got, tc.max)
 		}
 	}
 }

@@ -873,7 +873,7 @@ func (e *Engine) hasFullStall() bool {
 // prevents parallel workers from redundantly copying the same entry.
 func (e *Engine) pickFreeEntry() *Entry {
 	var best *Entry
-	for _, ent := range e.ctt.Entries() {
+	for _, ent := range e.ctt.byDst {
 		if e.freeing[ent.ID] {
 			continue
 		}
