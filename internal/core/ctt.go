@@ -300,11 +300,12 @@ type piece struct {
 // older entry's source, so a copy of a lazy copy never chains (§III-A1:
 // "A→B then B→C yields C←A"). Fragments whose source equals their
 // destination after redirection are dropped — memory already holds the
-// right bytes.
-func (t *CTT) collapse(dst memdata.Range, src memdata.Addr, record bool) []piece {
+// right bytes. It reports how many fragments were redirected and how many
+// dropped without touching Stats: Insert counts them only for a copy it
+// accepts.
+func (t *CTT) collapse(dst memdata.Range, src memdata.Addr) (out []piece, collapses, identities uint64) {
 	srcR := memdata.Range{Start: src, Size: dst.Size}
 	overs := t.DestCover(srcR)
-	var out []piece
 	cur := src
 	end := srcR.End()
 	emit := func(from, to memdata.Addr, redirect *Entry) {
@@ -317,14 +318,10 @@ func (t *CTT) collapse(dst memdata.Range, src memdata.Addr, record bool) []piece
 		}
 		if redirect != nil {
 			p.src = redirect.SrcFor(from)
-			if record {
-				t.Stats.Collapses++
-			}
+			collapses++
 		}
 		if p.src == p.dst.Start {
-			if record {
-				t.Stats.Identities++
-			}
+			identities++
 			return
 		}
 		out = append(out, p)
@@ -336,7 +333,7 @@ func (t *CTT) collapse(dst memdata.Range, src memdata.Addr, record bool) []piece
 		cur = o.End()
 	}
 	emit(cur, end, nil)
-	return out
+	return out, collapses, identities
 }
 
 // tryMerge attempts to absorb p into an entry adjacent in both destination
@@ -395,14 +392,13 @@ func (t *CTT) Insert(dst memdata.Range, src memdata.Addr) bool {
 			delta++
 		}
 	}
-	pieces := t.collapse(dst, src, true)
-	needed := 0
-	for range pieces {
-		needed++ // merges can only reduce this; a safe upper bound
-	}
-	if t.Len()+delta+needed > t.capacity {
+	pieces, collapses, identities := t.collapse(dst, src)
+	// Merges can only reduce the pieces' count; a safe upper bound.
+	if t.Len()+delta+len(pieces) > t.capacity {
 		return false
 	}
+	t.Stats.Collapses += collapses
+	t.Stats.Identities += identities
 
 	t.Stats.ReplacedBytes += t.RemoveDestRange(dst)
 	for _, p := range pieces {
@@ -423,7 +419,7 @@ func (t *CTT) Insert(dst memdata.Range, src memdata.Addr) bool {
 // its statistics. The Engine uses it to stall MCLAZY operations whose
 // effective sources land on BPQ-held lines.
 func (t *CTT) PreviewSources(dst memdata.Range, src memdata.Addr) []memdata.Range {
-	pieces := t.collapse(dst, src, false)
+	pieces, _, _ := t.collapse(dst, src)
 	out := make([]memdata.Range, 0, len(pieces))
 	for _, p := range pieces {
 		out = append(out, memdata.Range{Start: p.src, Size: p.dst.Size})

@@ -114,6 +114,29 @@ func TestChainCollapsePartial(t *testing.T) {
 	}
 }
 
+// TestRefusedInsertLeavesStats: an Insert refused for capacity leaves the
+// table and its statistics unchanged, even when the copy's source
+// straddles an entry (so the dry run collapses a piece through it). The
+// Engine retries a refused MCLAZY, so counting here would count the
+// pieces twice.
+func TestRefusedInsertLeavesStats(t *testing.T) {
+	c := NewCTT(2)
+	mustInsert(t, c, rng(0x1000, 2*line), 0x8000)
+	mustInsert(t, c, rng(0x20000, line), 0x30000)
+	before := c.Stats
+	// dst 4 lines from src 0xFC0: head, redirected middle, tail — three
+	// pieces into a full 2-entry table.
+	if c.Insert(rng(0x4000, 4*line), 0xFC0) {
+		t.Fatal("Insert into a full table accepted")
+	}
+	if c.Stats != before {
+		t.Fatalf("refused Insert moved Stats:\n got %+v\nwant %+v", c.Stats, before)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("refused Insert changed the table: Len = %d", c.Len())
+	}
+}
+
 func TestIdentityPieceDropped(t *testing.T) {
 	c := NewCTT(16)
 	// B <- A, then A <- B: the second collapses to A <- A and is dropped.

@@ -6,6 +6,7 @@ import (
 
 	"mcsquare/internal/config"
 	"mcsquare/internal/faultinject"
+	"mcsquare/internal/fleet"
 	"mcsquare/internal/runner"
 	"mcsquare/internal/stats"
 )
@@ -41,7 +42,9 @@ func TestFleetParallelDeterminism(t *testing.T) {
 		t.Fatal("fleet figure missing")
 	}
 	o := Options{Quick: true, Spec: smallFleetSpec()}
+	fleet.ForgetCalibrations()
 	serial := renderFigure(t, g, 1, o)
+	fleet.ForgetCalibrations() // the saturated pool calibrates afresh too
 	parallel := renderFigure(t, g, 4, o)
 	if serial != parallel {
 		t.Fatalf("fleet output differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
@@ -74,6 +77,7 @@ func TestFleetChaosReplay(t *testing.T) {
 	o := Options{Quick: true, Spec: smallFleetSpec()}
 	sched := faultinject.FromSeed(3)
 	render := func(workers int) string {
+		fleet.ForgetCalibrations() // replay must recalibrate, not reuse
 		set := g.Jobs(o)
 		results := runner.Run(runner.Config{
 			Workers: workers,
@@ -99,6 +103,35 @@ func TestFleetChaosReplay(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("chaos fleet output differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
+	}
+}
+
+// TestFleetCalibrationRuns pins what the calibration memo saves: quick
+// figureFleet simulates each (mechanism, machine, mix entry) once across
+// all its load points, at one worker and at two, and figureResilience
+// adds one more set for all its storm intensities (its storm-free control
+// reuses figureFleet's).
+func TestFleetCalibrationRuns(t *testing.T) {
+	o := Options{Quick: true, Spec: smallFleetSpec()}
+	fl := o.Spec.Fleet
+	perFigure := uint64(2 * fl.Machines * len(fl.Mix))
+	runs := func(id string, workers int) uint64 {
+		g, ok := ByID(id)
+		if !ok {
+			t.Fatalf("%s figure missing", id)
+		}
+		n := fleet.CalibrationRuns()
+		renderFigure(t, g, workers, o)
+		return fleet.CalibrationRuns() - n
+	}
+	for _, workers := range []int{1, 2} {
+		fleet.ForgetCalibrations()
+		if got := runs("fleet", workers); got != perFigure {
+			t.Fatalf("figureFleet at %d workers ran %d calibrations, want %d", workers, got, perFigure)
+		}
+	}
+	if got := runs("resilience", 2); got != perFigure {
+		t.Fatalf("figureResilience after figureFleet ran %d calibrations, want %d", got, perFigure)
 	}
 }
 

@@ -10,7 +10,9 @@
 // each run's per-request latency histogram as that machine's service-time
 // distribution. Simulation then replays an arrival stream against those
 // distributions with an event-driven queueing model, which is cheap enough
-// to sweep offered load across a dozen operating points. Both phases are
+// to sweep offered load across a dozen operating points. Calibration runs
+// are memoized per process (calibMemo), so the cells of a sweep share
+// them instead of repeating identical simulations. Both phases are
 // seeded and single-threaded, so a fleet run is byte-identical across
 // hosts, -jobs values, and machine instantiation orders (fault planes are
 // pinned to the machine's stable index, not creation order).
@@ -19,12 +21,19 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"mcsquare/internal/config"
 	"mcsquare/internal/copykit"
 	"mcsquare/internal/faultinject"
+	"mcsquare/internal/invariant"
 	"mcsquare/internal/machine"
+	"mcsquare/internal/metrics"
+	"mcsquare/internal/sim"
 	"mcsquare/internal/stats"
+	"mcsquare/internal/timeline"
+	"mcsquare/internal/txtrace"
 	"mcsquare/internal/workloads/kvsnap"
 	"mcsquare/internal/workloads/mongo"
 	"mcsquare/internal/workloads/mvcc"
@@ -167,36 +176,45 @@ func (f *Fleet) calibrateMachine(i int, spec config.MachineSpec, mech string) (m
 		return machineCalib{}, err
 	}
 	seed := f.Block.Seed + int64(i)
-	lazy := mech != "baseline"
+	key, memo, err := f.memoKey(i, spec, seed)
+	if err != nil {
+		return machineCalib{}, err
+	}
 
 	mc := machineCalib{servers: f.Block.ServersPerMachine}
 	if mc.servers == 0 {
 		mc.servers = params.Cores
 	}
 	for _, mx := range f.Block.Mix {
-		h, err := f.serviceRun(mx.Workload, spec, params, seed, lazy)
+		var r *calibRun
+		if memo {
+			key.workload = mx.Workload
+			r, err = f.memoRun(key, spec, params)
+		} else {
+			r, err = f.serviceRun(mx.Workload, spec, params, seed)
+		}
 		if err != nil {
 			return machineCalib{}, err
 		}
-		samples := h.Samples()
-		if len(samples) == 0 {
-			return machineCalib{}, fmt.Errorf("workload %s: calibration produced no samples", mx.Workload)
-		}
-		mc.samples = append(mc.samples, samples)
-		mc.means = append(mc.means, h.Mean())
+		mc.samples = append(mc.samples, r.samples)
+		mc.means = append(mc.means, r.mean)
 	}
 	return mc, nil
 }
 
 // serviceRun executes one calibration run and returns its per-request
-// latency histogram. Sizes are modest — the point is a service-time
+// service-time samples. Sizes are modest — the point is a service-time
 // distribution, not the paper's headline numbers — and shrink further in
-// quick mode.
-func (f *Fleet) serviceRun(workload string, spec config.MachineSpec, params machine.Params, seed int64, lazy bool) (*stats.Histogram, error) {
+// quick mode. The machines it builds register with whatever collectors
+// are bound, as every machine does.
+func (f *Fleet) serviceRun(workload string, spec config.MachineSpec, params machine.Params, seed int64) (*calibRun, error) {
+	freshRuns.Add(1)
+	lazy := spec.Mechanism.Name != "baseline"
 	copier := func(m *machine.Machine) (copykit.Copier, error) {
 		sp := spec
 		return config.BuildCopier(&sp, m)
 	}
+	var h *stats.Histogram
 	switch workload {
 	case "mongo":
 		m := mongo.NewMachineFrom(params)
@@ -208,13 +226,13 @@ func (f *Fleet) serviceRun(workload string, spec config.MachineSpec, params mach
 		if f.Quick {
 			cfg.Inserts, cfg.Fields, cfg.FieldSize = 4, 4, 16<<10
 		}
-		return mongo.Run(m, cfg).Latencies, nil
+		h = mongo.Run(m, cfg).Latencies
 	case "mvcc":
 		cfg := mvcc.Config{Seed: seed, Lazy: lazy, Threads: 1, Rows: 128, OpsPerThread: 100}
 		if f.Quick {
 			cfg.OpsPerThread = 40
 		}
-		return mvcc.Run(mvcc.NewMachineFrom(params), cfg).Latencies, nil
+		h = mvcc.Run(mvcc.NewMachineFrom(params), cfg).Latencies
 	case "protobuf":
 		m := protobuf.NewMachineFrom(params)
 		cp, err := copier(m)
@@ -225,7 +243,7 @@ func (f *Fleet) serviceRun(workload string, spec config.MachineSpec, params mach
 		if f.Quick {
 			cfg.Ops, cfg.Burst = 48, 24
 		}
-		return protobuf.Run(m, cfg).Latencies, nil
+		h = protobuf.Run(m, cfg).Latencies
 	case "kvsnap":
 		hw := params
 		hw.LazyEnabled = true // the kernel flag decides whether laziness is used
@@ -234,9 +252,171 @@ func (f *Fleet) serviceRun(workload string, spec config.MachineSpec, params mach
 		if f.Quick {
 			cfg.StoreBytes, cfg.Ops, cfg.SnapshotEach = 4<<20, 60, 30
 		}
-		return kvsnap.Run(cfg).Latencies, nil
+		h = kvsnap.Run(cfg).Latencies
+	default:
+		return nil, fmt.Errorf("unknown fleet workload %q", workload)
 	}
-	return nil, fmt.Errorf("unknown fleet workload %q", workload)
+	if h.N() == 0 {
+		return nil, fmt.Errorf("workload %s: calibration produced no samples", workload)
+	}
+	return &calibRun{samples: h.Samples(), mean: h.Mean()}, nil
+}
+
+// calibRun is one calibration run's outcome: the service-time samples
+// and their mean, plus — for a memoized run — one frozen registry per
+// machine the run built, in registration order. It holds no machine. The
+// samples are shared read-only by every Calibration built from the run.
+type calibRun struct {
+	samples []float64
+	mean    float64
+	regs    []*metrics.Registry
+}
+
+// calibKey is everything one calibration run reads, so two runs with
+// equal keys simulate exactly the same thing.
+type calibKey struct {
+	spec     string // canonical MachineSpec.Marshal of the member, mechanism set
+	workload string
+	seed     int64
+	quick    bool
+	plane    int // the pinned fault-plane identity
+	// faults records whether a fault collector is bound (machines then
+	// carry a plane, which publishes faultinject.* metrics even when no
+	// micro kind fires); sched is its schedule with the fleet storm
+	// zeroed, since a machine's plane reads only the micro kinds and the
+	// seed.
+	faults     bool
+	sched      faultinject.Schedule
+	cycleLimit sim.Cycle // the bound tracker's engine budget
+}
+
+// memoEntry is one key's slot in the calibration memo. done closes once
+// the owner has stored run or given up; run stays nil if it failed.
+type memoEntry struct {
+	done chan struct{}
+	run  *calibRun
+}
+
+// calibMemo is the process-wide calibration memo. Calibration is a pure
+// function of its key, and figure cells recalibrate the same fleet many
+// times (figureFleet once per load point, figureResilience once per
+// storm intensity), so each key is simulated once per process. Runner
+// jobs calibrating the same key concurrently wait for the first instead
+// of repeating it.
+var calibMemo = struct {
+	sync.Mutex
+	runs map[calibKey]*memoEntry
+}{runs: map[calibKey]*memoEntry{}}
+
+// freshRuns counts calibration runs actually simulated in this process.
+var freshRuns atomic.Uint64
+
+// CalibrationRuns returns how many calibration runs this process has
+// simulated; memo hits do not count. Which job of a parallel run pays
+// for a shared key depends on scheduling, so the count is process-level
+// and never enters a job's metrics.
+func CalibrationRuns() uint64 { return freshRuns.Load() }
+
+// ForgetCalibrations empties the calibration memo, so every key is
+// simulated afresh on its next use. Tests call it to exercise fresh
+// calibration; runs already in flight finish unaffected.
+func ForgetCalibrations() {
+	calibMemo.Lock()
+	calibMemo.runs = map[calibKey]*memoEntry{}
+	calibMemo.Unlock()
+}
+
+// memoKey builds machine i's calibration key (workload left empty). It
+// reports false when the memo must be bypassed: a bound transaction
+// trace, invariant or timeline collector needs the machines themselves.
+func (f *Fleet) memoKey(i int, spec config.MachineSpec, seed int64) (calibKey, bool, error) {
+	if txtrace.AmbientCollector() != nil || invariant.AmbientCollector() != nil || timeline.AmbientCollector() != nil {
+		return calibKey{}, false, nil
+	}
+	b, err := spec.Marshal()
+	if err != nil {
+		return calibKey{}, false, err
+	}
+	fc := faultinject.AmbientCollector()
+	return calibKey{
+		spec:       string(b),
+		seed:       seed,
+		quick:      f.Quick,
+		plane:      i,
+		faults:     fc != nil,
+		sched:      fc.Schedule().ScaleFleet(0),
+		cycleLimit: sim.AmbientCycleLimit(),
+	}, true, nil
+}
+
+// memoRun returns key's calibration run, simulating it only if no earlier
+// call stored it, and replays the run's frozen registries into the
+// ambient metrics collector either way. A failed or panicking run is
+// never stored; a caller that waited on one runs the key itself.
+func (f *Fleet) memoRun(key calibKey, spec config.MachineSpec, params machine.Params) (*calibRun, error) {
+	calibMemo.Lock()
+	e, hit := calibMemo.runs[key]
+	if !hit {
+		e = &memoEntry{done: make(chan struct{})}
+		calibMemo.runs[key] = e
+	}
+	calibMemo.Unlock()
+
+	var r *calibRun
+	owned := e
+	if hit {
+		<-e.done
+		r, owned = e.run, nil
+	}
+	if r == nil {
+		var err error
+		if r, err = f.frozenRun(key, spec, params, owned); err != nil {
+			return nil, err
+		}
+	}
+	if col := metrics.AmbientCollector(); col != nil {
+		for _, reg := range r.regs {
+			col.Add(reg)
+		}
+	}
+	return r, nil
+}
+
+// frozenRun simulates key's run under a private metrics collector and
+// freezes the registries it built. With a non-nil owned entry it stores
+// a successful run there and releases the entry's waiters however the
+// run ends. A failed run hands its live registries to the ambient
+// collector, as an unmemoized run would have left them.
+func (f *Fleet) frozenRun(key calibKey, spec config.MachineSpec, params machine.Params, owned *memoEntry) (r *calibRun, err error) {
+	ambient := metrics.AmbientCollector()
+	col := metrics.NewCollector()
+	release := col.Bind()
+	defer func() {
+		release()
+		if r == nil && ambient != nil {
+			for _, reg := range col.Registries() {
+				ambient.Add(reg)
+			}
+		}
+		if owned != nil {
+			calibMemo.Lock()
+			if r != nil {
+				owned.run = r
+			} else if calibMemo.runs[key] == owned {
+				delete(calibMemo.runs, key)
+			}
+			calibMemo.Unlock()
+			close(owned.done)
+		}
+	}()
+	run, err := f.serviceRun(key.workload, spec, params, key.seed)
+	if err != nil {
+		return nil, err
+	}
+	for _, reg := range col.Registries() {
+		run.regs = append(run.regs, metrics.Frozen(reg.Snapshot()))
+	}
+	return run, nil
 }
 
 // OfferedReqPerCycle resolves the fleet block's arrival rate against a

@@ -25,6 +25,7 @@ func testSpec() config.MachineSpec {
 
 func TestRunDeterminism(t *testing.T) {
 	run := func() *Result {
+		ForgetCalibrations() // compare two fresh calibrations, not a run and its replay
 		res, err := Run(testSpec(), Options{Quick: true})
 		if err != nil {
 			t.Fatal(err)
@@ -52,10 +53,12 @@ func TestRunDeterminism(t *testing.T) {
 // TestCalibrationOrderIndependence pins the chaos-replay guarantee: with a
 // fault schedule bound, calibrating machines in reverse order yields the
 // same per-machine service model as calibrating in natural order, because
-// plane identity is pinned to the stable machine index.
+// plane identity is pinned to the stable machine index. Each order
+// calibrates afresh: a memo hit would compare a run with itself.
 func TestCalibrationOrderIndependence(t *testing.T) {
 	sched := faultinject.FromSeed(7)
 	calibrate := func(order []int) [][]float64 {
+		ForgetCalibrations()
 		fcol := faultinject.NewCollector(&sched)
 		release := fcol.Bind()
 		defer release()

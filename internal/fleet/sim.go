@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"strconv"
@@ -153,23 +152,63 @@ type event struct {
 	rs   *reqState // evHedge / evRetry
 }
 
+// eventHeap is a binary min-heap on (at, seq) with typed push/pop, so
+// scheduling an event boxes nothing (container/heap's interface{} Push
+// and Pop allocated per event). seq is unique, so the order is strict and
+// the pop sequence is the same as any other correct heap's.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// push inserts ev (sift-up with a hole).
+func (h *eventHeap) push(ev event) {
+	q := append(*h, event{})
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if q[p].before(&ev) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+	*h = q
+}
+
+// pop removes and returns the earliest event (sift-down with a hole).
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the attempt/request pointers for GC
+	q = q[:n]
+	*h = q
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if last.before(&q[c]) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	return top
 }
 
 // machineState is one machine's runtime queueing and health state.
@@ -301,7 +340,7 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		// so balancer state reflects them — and the order is still
 		// deterministic because the heap breaks time ties by schedule order.
 		for len(s.pending) > 0 && s.pending[0].at <= r.arrive {
-			s.handle(heap.Pop(&s.pending).(event))
+			s.handle(s.pending.pop())
 		}
 		depth := 0
 		for i := range s.machines {
@@ -316,7 +355,7 @@ func (f *Fleet) Simulate(cal *Calibration, rate float64) *Result {
 		res.Timeline.arrival(r.arrive, depth, dropped)
 	}
 	for len(s.pending) > 0 {
-		s.handle(heap.Pop(&s.pending).(event))
+		s.handle(s.pending.pop())
 	}
 	// Defensive: the loop above drains every live attempt, so nothing
 	// should remain unresolved; if it ever does, account it as failed so
@@ -381,7 +420,7 @@ func (s *fleetSim) handle(e event) {
 func (s *fleetSim) push(e event) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.pending, e)
+	s.pending.push(e)
 }
 
 // moreWork reports whether anything can still need servicing; recurring

@@ -66,13 +66,14 @@ func (k *Kind) UnmarshalText(b []byte) error {
 }
 
 // metric is one registered source. Exactly one of the fields matching
-// kind is set.
+// kind is set, or fixed alone in a Frozen registry.
 type metric struct {
-	kind Kind
-	c    *uint64
-	cf   func() uint64
-	g    func() float64
-	h    *stats.Histogram
+	kind  Kind
+	c     *uint64
+	cf    func() uint64
+	g     func() float64
+	h     *stats.Histogram
+	fixed *Value
 }
 
 // Registry maps dotted names to live metric sources. One registry per
@@ -85,6 +86,21 @@ type Registry struct {
 
 func NewRegistry() *Registry {
 	return &Registry{items: make(map[string]metric)}
+}
+
+// Frozen returns a registry that reads s forever: the same names and
+// kinds, and every reading equal to s's. It stands in for a machine that
+// no longer exists — the fleet layer replays a memoized calibration run's
+// registries into the ambient collector this way, so a job's merged
+// snapshot is the same whether the run was computed or remembered.
+func Frozen(s *Snapshot) *Registry {
+	r := &Registry{items: make(map[string]metric, len(s.Values))}
+	vals := make([]Value, 0, len(s.Values))
+	for name, v := range s.Values {
+		vals = append(vals, v)
+		r.items[name] = metric{kind: v.Kind, fixed: &vals[len(vals)-1]}
+	}
+	return r
 }
 
 // ValidName reports whether name follows the namespace scheme (lowercase
@@ -177,10 +193,7 @@ func (r *Registry) CounterValue(name string) uint64 {
 	if !ok || m.kind != KindCounter {
 		panic(fmt.Sprintf("metrics: no counter %q", name))
 	}
-	if m.cf != nil {
-		return m.cf()
-	}
-	return *m.c
+	return m.read().Count
 }
 
 // GaugeValue reads one live gauge by name.
@@ -191,11 +204,14 @@ func (r *Registry) GaugeValue(name string) float64 {
 	if !ok || m.kind != KindGauge {
 		panic(fmt.Sprintf("metrics: no gauge %q", name))
 	}
-	return m.g()
+	return m.read().Value
 }
 
 // read produces one metric's current reading.
 func (m metric) read() Value {
+	if m.fixed != nil {
+		return *m.fixed
+	}
 	v := Value{Kind: m.kind}
 	switch m.kind {
 	case KindCounter:

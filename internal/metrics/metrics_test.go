@@ -210,3 +210,47 @@ func TestCollectorSnapshotMergesRegistries(t *testing.T) {
 		t.Fatalf("merged sim.cycles = %d, want 30", got)
 	}
 }
+
+// TestFrozenReplaysSnapshot: a Frozen registry reads exactly the snapshot
+// it was built from — through Snapshot, the live-read accessors and a
+// Collector merge — so replaying frozen registries in registration order
+// gives byte-identical merged JSON to collecting the live ones.
+func TestFrozenReplaysSnapshot(t *testing.T) {
+	live := NewCollector()
+	frozen := NewCollector()
+	for i := 0; i < 3; i++ {
+		r := NewRegistry()
+		n := uint64(7 * (i + 1))
+		r.Counter("mc0.reads", &n)
+		r.CounterFunc("sim.cycles", func() uint64 { return 1000 + n })
+		g := 0.1 * float64(i+1) // inexact sums: merge order must be kept
+		r.Gauge("ctt.high_water", func() float64 { return g })
+		h := new(stats.Histogram)
+		h.Add(0.3)
+		h.Add(float64(i))
+		r.Histogram("mc0.rpq_wait", h)
+		live.Add(r)
+
+		f := Frozen(r.Snapshot())
+		if !reflect.DeepEqual(f.Snapshot().Values, r.Snapshot().Values) {
+			t.Fatalf("registry %d: frozen snapshot %v, live %v", i, f.Snapshot().Values, r.Snapshot().Values)
+		}
+		if f.CounterValue("sim.cycles") != 1000+n || f.GaugeValue("ctt.high_water") != g {
+			t.Fatalf("registry %d: frozen live reads differ", i)
+		}
+		if !reflect.DeepEqual(f.Names(), r.Names()) {
+			t.Fatalf("registry %d: names %v, want %v", i, f.Names(), r.Names())
+		}
+		frozen.Add(f)
+	}
+	var a, b bytes.Buffer
+	if err := live.Snapshot().WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := frozen.Snapshot().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("merged JSON differs:\n--- live ---\n%s--- frozen ---\n%s", a.String(), b.String())
+	}
+}

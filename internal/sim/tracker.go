@@ -94,6 +94,21 @@ func ambientTracker() *Tracker {
 	return t
 }
 
+// AmbientCycleLimit returns the cycle budget the tracker bound to the
+// calling goroutine applies to new engines (0 with no tracker or no
+// budget). Memoized work keys on it: a budget can turn a run into a
+// failure, so results computed under different budgets are not
+// interchangeable.
+func AmbientCycleLimit() Cycle {
+	t := ambientTracker()
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cycleLimit
+}
+
 // goid parses the calling goroutine's id from its stack header
 // ("goroutine 123 [running]:"). Called only at bind points and engine
 // construction; the few-microsecond cost is irrelevant there.
